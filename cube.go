@@ -3,6 +3,7 @@ package parcube
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"parcube/internal/agg"
@@ -130,6 +131,13 @@ type Table struct {
 	mask        lattice.DimSet
 	data        *array.Dense
 	op          agg.Op
+	// lo and hi bound, per schema dimension, the global coordinates of the
+	// facts the table aggregates; on a retained dimension lo is also the
+	// global coordinate of index 0, which Dice re-bases. Nil means
+	// unbounded with origin 0. rebinned marks a table whose axes no longer
+	// map to schema coordinates (a hierarchy roll-up). Slab reads them.
+	lo, hi   []int
+	rebinned bool
 }
 
 // Dims returns the table's dimension names, in schema order.
@@ -193,6 +201,22 @@ func (t *Table) Top(k int) []CellValue {
 	return out
 }
 
+// bounds returns fresh copies of the table's per-schema-dimension fact
+// bounds, unbounded ones as [0, MaxInt).
+func (t *Table) bounds() (lo, hi []int) {
+	n := len(t.schemaNames)
+	lo, hi = make([]int, n), make([]int, n)
+	if t.lo == nil {
+		for i := range hi {
+			hi[i] = math.MaxInt
+		}
+		return lo, hi
+	}
+	copy(lo, t.lo)
+	copy(hi, t.hi)
+	return lo, hi
+}
+
 // CellValue is one cell of a table with its coordinates.
 type CellValue struct {
 	Coords []int
@@ -223,12 +247,18 @@ func (t *Table) Slice(name string, index int) (*Table, error) {
 	names = append(names, t.names[:axis]...)
 	names = append(names, t.names[axis+1:]...)
 	schemaIdx := t.mask.Dims()[axis]
+	lo, hi := t.bounds()
+	lo[schemaIdx] += index
+	hi[schemaIdx] = lo[schemaIdx] + 1
 	return &Table{
 		names:       names,
 		schemaNames: t.schemaNames,
 		mask:        t.mask.Without(schemaIdx),
 		data:        t.data.SliceAxis(axis, index),
 		op:          t.op,
+		lo:          lo,
+		hi:          hi,
+		rebinned:    t.rebinned,
 	}, nil
 }
 
@@ -250,5 +280,8 @@ func (t *Table) Rollup(name string) (*Table, error) {
 		mask:        t.mask.Without(schemaIdx),
 		data:        t.data.AggregateAlong(axis, t.op),
 		op:          t.op,
+		lo:          t.lo,
+		hi:          t.hi,
+		rebinned:    t.rebinned,
 	}, nil
 }

@@ -79,5 +79,8 @@ func (t *Table) RollupWith(dim string, h Hierarchy) (*Table, error) {
 		mask:        t.mask,
 		data:        array.MapAxis(t.data, axis, h.Mapping, h.Size, t.op),
 		op:          t.op,
+		lo:          t.lo,
+		hi:          t.hi,
+		rebinned:    true,
 	}, nil
 }

@@ -61,9 +61,11 @@ func DialTimeout(addr string, d time.Duration) (*Client, error) {
 }
 
 // SetTimeout bounds every subsequent request: the connection deadline is
-// re-armed before each write and each response line read, so a stalled or
-// dead server surfaces as an i/o timeout instead of blocking forever.
-// Zero (the default) means no deadline.
+// armed once as a request starts to be written and once as its reply
+// starts to be read, so the whole upload and the whole reply — header,
+// every row, terminator — must each complete within d. A stalled, dead
+// or trickling server surfaces as an i/o timeout instead of blocking
+// forever. Zero (the default) means no deadline.
 func (c *Client) SetTimeout(d time.Duration) { c.timeout = d }
 
 // Addr returns the remote address the client dialed.
@@ -92,15 +94,16 @@ func (c *Client) Close() error {
 	return cerr
 }
 
-// roundTrip sends one request line and returns the "OK ..." payload.
+// roundTrip sends one request line and returns the "OK ..." payload,
+// leaving any body of the reply to the caller under the same deadline.
 func (c *Client) roundTrip(req string) (string, error) {
 	c.arm()
-	if _, err := fmt.Fprintln(c.w, req); err != nil {
-		return "", err
-	}
+	c.w.WriteString(req)
+	c.w.WriteByte('\n')
 	if err := c.w.Flush(); err != nil {
 		return "", err
 	}
+	c.arm()
 	line, err := c.r.ReadString('\n')
 	if err != nil {
 		return "", err
@@ -148,11 +151,7 @@ func (c *Client) Total() (float64, error) {
 func (c *Client) Value(dims []string, coords []int) (float64, error) {
 	req := "VALUE " + strings.Join(dims, ",")
 	if len(coords) > 0 {
-		parts := make([]string, len(coords))
-		for i, v := range coords {
-			parts[i] = strconv.Itoa(v)
-		}
-		req += " " + strings.Join(parts, ",")
+		req += " " + string(appendCoords(nil, coords))
 	}
 	payload, err := c.roundTrip(req)
 	if err != nil {
@@ -167,22 +166,13 @@ func (c *Client) Value(dims []string, coords []int) (float64, error) {
 // untrusted-alloc). Larger results grow normally via append.
 const maxRowPrealloc = 4096
 
-// readRows reads n "coords value" lines plus the closing dot.
-func (c *Client) readRows(n int) ([]Row, error) {
-	c.arm()
-	return parseRows(c.r, n, c.arm)
-}
-
 // parseRows decodes n "coords value" lines plus the closing dot from any
-// reader — the live connection here, or a mux response body in
-// MuxClient. arm, when non-nil, refreshes the transport deadline before
-// each line read.
-func parseRows(r *bufio.Reader, n int, arm func()) ([]Row, error) {
+// reader — the live connection (under the deadline roundTrip armed for
+// the whole reply), or a mux response body in MuxClient.
+func parseRows(r *bufio.Reader, n int) ([]Row, error) {
 	rows := make([]Row, 0, min(n, maxRowPrealloc))
+	var backing []int
 	for {
-		if arm != nil {
-			arm()
-		}
 		line, err := r.ReadString('\n')
 		if err != nil {
 			return nil, err
@@ -191,25 +181,11 @@ func parseRows(r *bufio.Reader, n int, arm func()) ([]Row, error) {
 		if line == "." {
 			break
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("server: malformed row %q", line)
-		}
-		var coords []int
-		if fields[0] != "-" {
-			for _, p := range strings.Split(fields[0], ",") {
-				v, err := strconv.Atoi(p)
-				if err != nil {
-					return nil, fmt.Errorf("server: malformed coords %q", fields[0])
-				}
-				coords = append(coords, v)
-			}
-		}
-		v, err := strconv.ParseFloat(fields[1], 64)
+		row, err := parseRow(line, &backing)
 		if err != nil {
-			return nil, fmt.Errorf("server: malformed value %q", fields[1])
+			return nil, err
 		}
-		rows = append(rows, Row{Coords: coords, Value: v})
+		rows = append(rows, row)
 	}
 	if len(rows) != n {
 		return nil, fmt.Errorf("server: got %d rows, expected %d", len(rows), n)
@@ -227,7 +203,7 @@ func (c *Client) GroupBy(dims ...string) ([]Row, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: malformed count %q", payload)
 	}
-	return c.readRows(n)
+	return parseRows(c.r, n)
 }
 
 // Query runs a parcube query-language statement and returns its table's
@@ -241,7 +217,28 @@ func (c *Client) Query(stmt string) ([]Row, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: malformed count %q", payload)
 	}
-	return c.readRows(n)
+	return parseRows(c.r, n)
+}
+
+// GroupBySlab fetches a shard node's slab of a group-by (SLAB GROUPBY):
+// the cells its block contributes, in binary.
+func (c *Client) GroupBySlab(dims ...string) (*Slab, error) {
+	return c.slab("SLAB GROUPBY " + strings.Join(dims, ","))
+}
+
+// QuerySlab fetches a shard node's slab of a query-language statement
+// (SLAB QUERY).
+func (c *Client) QuerySlab(stmt string) (*Slab, error) {
+	return c.slab("SLAB QUERY " + stmt)
+}
+
+// slab runs one SLAB request and decodes the reply.
+func (c *Client) slab(req string) (*Slab, error) {
+	payload, err := c.roundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	return decodeSlab(c.r, payload)
 }
 
 // parseFields splits a "k=v k=v ..." payload into a map.
@@ -276,22 +273,24 @@ func (c *Client) Stats() (map[string]string, error) {
 }
 
 // writeDeltaPayload streams the rows of a DELTA request plus the
-// terminating dot, re-arming the deadline per row.
+// terminating dot under one deadline for the whole upload.
 func (c *Client) writeDeltaPayload(req string, rows []Row) error {
 	c.arm()
-	if _, err := fmt.Fprintln(c.w, req); err != nil {
-		return err
-	}
-	for _, row := range rows {
-		c.arm()
-		if _, err := fmt.Fprintf(c.w, "%s %g\n", joinCoords(row.Coords), row.Value); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(c.w, "."); err != nil {
-		return err
-	}
+	c.w.WriteString(req)
+	c.w.WriteByte('\n')
+	writeRows(c.w, rows)
+	c.w.WriteString(".\n")
 	return c.w.Flush()
+}
+
+// writeRows writes rows as text lines; a failed write surfaces at the
+// caller's Flush, which reports the writer's sticky error.
+func writeRows(w *bufio.Writer, rows []Row) {
+	buf := make([]byte, 0, 64)
+	for _, row := range rows {
+		buf = appendRow(buf[:0], row.Coords, row.Value)
+		w.Write(buf)
+	}
 }
 
 // readDeltaReply parses the "lsn=<n> applied=<0|1>" acknowledgement.
@@ -354,28 +353,22 @@ func (c *Client) DeltaBatch(recs []LoggedDelta) (lastLSN uint64, applied int, er
 	if len(recs) == 0 {
 		return 0, 0, fmt.Errorf("server: empty delta batch")
 	}
+	for _, rec := range recs {
+		if len(rec.Rows) == 0 {
+			return 0, 0, fmt.Errorf("server: empty record in delta batch")
+		}
+	}
 	c.arm()
 	if _, err := fmt.Fprintf(c.w, "DELTABATCH %d\n", len(recs)); err != nil {
 		return 0, 0, err
 	}
 	for _, rec := range recs {
-		if len(rec.Rows) == 0 {
-			return 0, 0, fmt.Errorf("server: empty record in delta batch")
-		}
-		c.arm()
 		if _, err := fmt.Fprintf(c.w, "%d %d\n", len(rec.Rows), rec.LSN); err != nil {
 			return 0, 0, err
 		}
-		for _, row := range rec.Rows {
-			c.arm()
-			if _, err := fmt.Fprintf(c.w, "%s %g\n", joinCoords(row.Coords), row.Value); err != nil {
-				return 0, 0, err
-			}
-		}
+		writeRows(c.w, rec.Rows)
 	}
-	if _, err := fmt.Fprintln(c.w, "."); err != nil {
-		return 0, 0, err
-	}
+	c.w.WriteString(".\n")
 	if err := c.w.Flush(); err != nil {
 		return 0, 0, err
 	}
@@ -417,8 +410,8 @@ func (c *Client) DeltasSince(lsn uint64) ([]LoggedRow, error) {
 		return nil, fmt.Errorf("server: malformed count %q", payload)
 	}
 	out := make([]LoggedRow, 0, min(n, maxRowPrealloc))
+	var backing []int
 	for {
-		c.arm()
 		line, err := c.r.ReadString('\n')
 		if err != nil {
 			return nil, err
@@ -427,29 +420,16 @@ func (c *Client) DeltasSince(lsn uint64) ([]LoggedRow, error) {
 		if line == "." {
 			break
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 {
+		lsnField, rest, _ := strings.Cut(line, " ")
+		recLSN, err := strconv.ParseUint(lsnField, 10, 64)
+		if err != nil {
 			return nil, fmt.Errorf("server: malformed logged row %q", line)
 		}
-		recLSN, err := strconv.ParseUint(fields[0], 10, 64)
+		row, err := parseRow(strings.TrimLeft(rest, " "), &backing)
 		if err != nil {
-			return nil, fmt.Errorf("server: malformed LSN %q", fields[0])
+			return nil, err
 		}
-		var coords []int
-		if fields[1] != "-" {
-			for _, p := range strings.Split(fields[1], ",") {
-				v, err := strconv.Atoi(p)
-				if err != nil {
-					return nil, fmt.Errorf("server: malformed coords %q", fields[1])
-				}
-				coords = append(coords, v)
-			}
-		}
-		v, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("server: malformed value %q", fields[2])
-		}
-		out = append(out, LoggedRow{LSN: recLSN, Row: Row{Coords: coords, Value: v}})
+		out = append(out, LoggedRow{LSN: recLSN, Row: row})
 	}
 	if len(out) != n {
 		return nil, fmt.Errorf("server: got %d logged rows, expected %d", len(out), n)
@@ -559,5 +539,5 @@ func (c *Client) Top(k int, dims ...string) ([]Row, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: malformed count %q", payload)
 	}
-	return c.readRows(n)
+	return parseRows(c.r, n)
 }

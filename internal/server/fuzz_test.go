@@ -54,6 +54,7 @@ func FuzzHandleLine(f *testing.F) {
 		{"DELTA 99999999999", ""}, {"DELTA 1 0", "1,1,1 4\n.\n"},
 		{"DELTA 1", "1,1,1 4\nextra\n"}, {"DELTA x", ""}, {"DELTA", ""},
 		{"DELTASINCE 0", ""}, {"DELTASINCE -1", ""}, {"DELTASINCE", ""},
+		{"SLAB GROUPBY item", ""}, {"SLAB QUERY GROUP BY item", ""}, {"SLAB", ""}, {"SLAB TOTAL", ""},
 	}
 	for _, s := range seeds {
 		f.Add(s.line, s.payload)
@@ -113,7 +114,7 @@ func FuzzParseCoords(f *testing.F) {
 		if n == 0 {
 			return
 		}
-		rt, err := parseCoords(joinCoords(coords), n)
+		rt, err := parseCoords(string(appendCoords(nil, coords)), n)
 		if err != nil {
 			t.Fatalf("round trip of %v failed: %v", coords, err)
 		}

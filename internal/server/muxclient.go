@@ -82,7 +82,7 @@ func (m *MuxClient) table(req string, timeout time.Duration) ([]Row, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: malformed count %q", payload)
 	}
-	return parseRows(br, n, nil)
+	return parseRows(br, n)
 }
 
 // Schema returns the served dimensions as name:size pairs.
@@ -127,7 +127,7 @@ func (m *MuxClient) Top(k int, dims ...string) ([]Row, error) {
 func (m *MuxClient) Value(dims []string, coords []int) (float64, error) {
 	req := "VALUE " + strings.Join(dims, ",")
 	if len(coords) > 0 {
-		req += " " + joinCoords(coords)
+		req += " " + string(appendCoords(nil, coords))
 	}
 	payload, _, err := m.do(req+"\n", 0)
 	if err != nil {
@@ -152,13 +152,12 @@ func (m *MuxClient) Delta(rows []Row) (uint64, error) {
 	if len(rows) == 0 {
 		return 0, fmt.Errorf("server: empty delta")
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "DELTA %d\n", len(rows))
+	b := strconv.AppendInt([]byte("DELTA "), int64(len(rows)), 10)
+	b = append(b, '\n')
 	for _, row := range rows {
-		fmt.Fprintf(&b, "%s %g\n", joinCoords(row.Coords), row.Value)
+		b = appendRow(b, row.Coords, row.Value)
 	}
-	b.WriteString(".\n")
-	payload, _, err := m.do(b.String(), 0)
+	payload, _, err := m.do(string(append(b, ".\n"...)), 0)
 	if err != nil {
 		return 0, err
 	}

@@ -9,6 +9,9 @@
 //	TOTAL                      -> "OK <value>"
 //	GROUPBY <dims>             -> "OK <cells>", then one "<c0,c1,...> <value>" line per cell, then "."
 //	QUERY <statement>          -> like GROUPBY, for the parcube query language
+//	SLAB GROUPBY <dims>        -> "OK shape=<s0,...> lo=<l0,...> hi=<h0,...> cells=<n>", then
+//	SLAB QUERY <statement>        exactly n little-endian float64s: the box [lo, hi) of the
+//	                              result table in row-major order ("-" for an empty list)
 //	VALUE <dims> <c0,c1,...>   -> "OK <value>"
 //	TOP <k> <dims>             -> "OK <rows>", then rows, then "."
 //	STATS                      -> "OK queries=<n> cells=<n> uptime_sec=<s> ..."
@@ -42,6 +45,11 @@
 //
 // Errors answer "ERR <message>". DELTA, DELTASINCE and TRUNCATE answer an
 // error on backends without ingest support (plain read-only cube servers).
+//
+// A shard node (SetShardInfo with the block's bounds) answers GROUPBY and
+// QUERY with its block's slab only — the cells its facts can reach, at
+// result coordinates — in text for people and in binary (SLAB) for the
+// coordinator, which merges the blocks' slabs into the whole table.
 //
 // The Server is generic over a Backend: a local cube (New) or any other
 // implementation of the query surface, such as internal/shard's
@@ -202,6 +210,10 @@ type ShardInfo struct {
 	// Epoch is the plan epoch the node was started under (0 when the
 	// plan predates epochs); coordinators echo their serving epoch.
 	Epoch uint64
+	// Lo and Hi bound the served block per schema dimension, at global
+	// coordinates. When set on a SlabBackend, GROUPBY and QUERY answer
+	// with the block's slab; SLAB needs them.
+	Lo, Hi []int
 }
 
 // Server serves one backend.
@@ -273,6 +285,22 @@ func (b cubeBackend) Query(stmt string) (Result, error) {
 		return nil, err
 	}
 	return tbl, nil
+}
+
+func (b cubeBackend) GroupBySlab(lo, hi []int, dims ...string) (*Slab, error) {
+	tbl, err := b.cube.GroupBy(dims...)
+	if err != nil {
+		return nil, err
+	}
+	return TableSlab(tbl, lo, hi)
+}
+
+func (b cubeBackend) QuerySlab(lo, hi []int, stmt string) (*Slab, error) {
+	tbl, err := b.cube.Query(stmt)
+	if err != nil {
+		return nil, err
+	}
+	return TableSlab(tbl, lo, hi)
 }
 
 // New wraps a cube for serving.
@@ -571,6 +599,21 @@ func (s *Server) errf(w *bufio.Writer, format string, args ...any) {
 func (s *Server) handle(conn net.Conn, r *bufio.Reader, w *bufio.Writer, line string) bool {
 	fields := strings.Fields(line)
 	cmd := strings.ToUpper(fields[0])
+	slab := cmd == "SLAB"
+	if slab {
+		// A slab read counts as the group-by or query it carries.
+		line = strings.TrimSpace(line[len(fields[0]):])
+		fields = fields[1:]
+		if len(fields) == 0 {
+			s.errf(w, "SLAB needs GROUPBY or QUERY")
+			return false
+		}
+		cmd = strings.ToUpper(fields[0])
+		if cmd != "GROUPBY" && cmd != "QUERY" {
+			s.errf(w, "SLAB needs GROUPBY or QUERY, got %q", cmd)
+			return false
+		}
+	}
 	label, ok := knownCommands[cmd]
 	if !ok {
 		label = "unknown"
@@ -635,20 +678,16 @@ func (s *Server) handle(conn net.Conn, r *bufio.Reader, w *bufio.Writer, line st
 		}
 		s.cells.Add(1)
 		fmt.Fprintf(w, "OK %g\n", v)
-	case "GROUPBY":
+	case "GROUPBY", "QUERY":
 		s.queries.Add(1)
-		tbl, err := s.backend.GroupBy(parseDims(fields[1:])...)
+		tbl, err := s.answer(cmd, fields, line, slab)
 		if err != nil {
 			s.errf(w, "%v", err)
 			return false
 		}
-		s.writeTable(w, tbl)
-	case "QUERY":
-		s.queries.Add(1)
-		stmt := strings.TrimSpace(line[len(fields[0]):])
-		tbl, err := s.backend.Query(stmt)
-		if err != nil {
-			s.errf(w, "%v", err)
+		if slab {
+			s.cells.Add(int64(tbl.Size()))
+			writeSlab(w, tbl.(*Slab))
 			return false
 		}
 		s.writeTable(w, tbl)
@@ -695,11 +734,13 @@ func (s *Server) handle(conn net.Conn, r *bufio.Reader, w *bufio.Writer, line st
 		}
 		top := tbl.Top(k)
 		s.cells.Add(int64(len(top)))
-		fmt.Fprintf(w, "OK %d\n", len(top))
+		buf := countLine(len(top))
+		w.Write(buf)
 		for _, c := range top {
-			fmt.Fprintf(w, "%s %g\n", joinCoords(c.Coords), c.Value)
+			buf = appendRow(buf[:0], c.Coords, c.Value)
+			w.Write(buf)
 		}
-		fmt.Fprintln(w, ".")
+		w.WriteString(".\n")
 	case "DELTA":
 		return s.handleDelta(conn, r, w, fields[1:])
 	case "DELTABATCH":
@@ -785,12 +826,15 @@ func (s *Server) handle(conn net.Conn, r *bufio.Reader, w *bufio.Writer, line st
 		}
 		s.cells.Add(int64(total))
 		fmt.Fprintf(w, "OK %d\n", total)
+		buf := make([]byte, 0, 64)
 		for _, rec := range recs {
 			for _, row := range rec.Rows {
-				fmt.Fprintf(w, "%d %s %g\n", rec.LSN, joinCoords(row.Coords), row.Value)
+				buf = strconv.AppendUint(buf[:0], rec.LSN, 10)
+				buf = appendRow(append(buf, ' '), row.Coords, row.Value)
+				w.Write(buf)
 			}
 		}
-		fmt.Fprintln(w, ".")
+		w.WriteString(".\n")
 	case "TRUNCATE":
 		tb, ok := s.backend.(TruncateBackend)
 		if !ok {
@@ -1112,30 +1156,65 @@ func (s *Server) value(dims []string, coords []int) (float64, error) {
 	return atSafe(tbl, coords)
 }
 
-// writeTable streams a full group-by.
-//
-//cubelint:ignore hot-fmt table rows are the line protocol's text wire format by design
-func (s *Server) writeTable(w *bufio.Writer, tbl Result) {
-	s.cells.Add(int64(tbl.Size()))
-	fmt.Fprintf(w, "OK %d\n", tbl.Size())
-	shape := tbl.Shape()
-	coords := make([]int, len(shape))
-	for {
-		v := tbl.At(coords...)
-		fmt.Fprintf(w, "%s %g\n", joinCoords(coords), v)
-		i := len(coords) - 1
-		for ; i >= 0; i-- {
-			coords[i]++
-			if coords[i] < shape[i] {
-				break
-			}
-			coords[i] = 0
-		}
-		if i < 0 {
-			break
-		}
+// answer runs a GROUPBY or QUERY: a shard node serving a block answers
+// with the block's slab (a *Slab), any other server with the backend's
+// table, or an error when needSlab asks for a slab it cannot cut.
+func (s *Server) answer(cmd string, fields []string, line string, needSlab bool) (Result, error) {
+	s.mu.Lock()
+	info := s.shard
+	s.mu.Unlock()
+	sb, isSlab := s.backend.(SlabBackend)
+	isSlab = isSlab && info != nil && info.Lo != nil
+	if needSlab && !isSlab {
+		return nil, fmt.Errorf("SLAB needs a shard node serving a block")
 	}
-	fmt.Fprintln(w, ".")
+	if cmd == "GROUPBY" {
+		dims := parseDims(fields[1:])
+		if isSlab {
+			return sb.GroupBySlab(info.Lo, info.Hi, dims...)
+		}
+		return s.backend.GroupBy(dims...)
+	}
+	stmt := strings.TrimSpace(line[len(fields[0]):])
+	if isSlab {
+		return sb.QuerySlab(info.Lo, info.Hi, stmt)
+	}
+	return s.backend.Query(stmt)
+}
+
+// writeTable streams a table as text rows at result coordinates: a
+// slab's cells (a shard node's share, or a coordinator's merged table),
+// or every cell of any other Result.
+func (s *Server) writeTable(w *bufio.Writer, tbl Result) {
+	n := tbl.Size()
+	s.cells.Add(int64(n))
+	buf := countLine(n)
+	w.Write(buf)
+	sl, isSlab := tbl.(*Slab)
+	if !isSlab {
+		shape := tbl.Shape()
+		sl = &Slab{TableShape: shape, Lo: make([]int, len(shape)), Hi: shape}
+	}
+	coords := append([]int(nil), sl.Lo...)
+	for i := 0; i < n; i++ {
+		var v float64
+		if isSlab {
+			v = sl.Data[i]
+		} else {
+			v = tbl.At(coords...)
+		}
+		buf = appendRow(buf[:0], coords, v)
+		w.Write(buf)
+		sl.next(coords)
+	}
+	w.WriteString(".\n")
+}
+
+// countLine starts a table reply, "OK <n>\n", in a buffer the caller
+// reuses for the rows.
+func countLine(n int) []byte {
+	buf := strconv.AppendInt(append(make([]byte, 0, 64), "OK "...), int64(n), 10)
+	return append(buf, '\n')
 }
 
 // atSafe converts the panic of a bad lookup into an error.
@@ -1189,16 +1268,4 @@ func parseCoords(s string, n int) ([]int, error) {
 		out[i] = v
 	}
 	return out, nil
-}
-
-// joinCoords renders coordinates as "3,1,4" ("-" for the grand total).
-func joinCoords(coords []int) string {
-	if len(coords) == 0 {
-		return "-"
-	}
-	parts := make([]string, len(coords))
-	for i, c := range coords {
-		parts[i] = strconv.Itoa(c)
-	}
-	return strings.Join(parts, ",")
 }

@@ -159,8 +159,8 @@ type topology struct {
 }
 
 // Coordinator answers the cube line protocol by scatter-gathering shard
-// nodes: every query fans out to one owner of each block, partial tables
-// merge element-wise under the cube's aggregation operator, and a failed
+// nodes: every query fans out to one owner of each block, the blocks'
+// slabs merge under the cube's aggregation operator, and a failed
 // or stalled shard fails over to its replicas with exponential backoff.
 // It implements server.Backend (plus the Value fast path and STATS
 // extension), so server.NewBackend turns it into a drop-in replacement
@@ -706,13 +706,14 @@ func (c *Coordinator) scatter(fetch func(b int, cl *server.Client) (any, error))
 	return vals, nil
 }
 
-// gatherRows scatter-gathers one row-streaming request (GROUPBY or QUERY)
-// and merges the per-shard tables element-wise under the cluster
-// operator. The merged shape is inferred from the first shard's reply and
-// cross-checked against the rest.
+// gatherSlabs scatter-gathers one GROUPBY or QUERY as block slabs and
+// merges them under the cluster operator. Each block sends only the
+// cells its facts can reach, so the coordinator receives |G| cells times
+// the parts of every partitioned dimension the answer drops (Lemma 1),
+// counted in ingress_cells.
 //
 //cubelint:hotpath coordinator gather-merge, once per distributed query
-func (c *Coordinator) gatherRows(fetch func(cl *server.Client) ([]server.Row, error)) (server.Result, error) {
+func (c *Coordinator) gatherSlabs(fetch func(cl *server.Client) (*server.Slab, error)) (server.Result, error) {
 	vals, err := c.scatter(func(b int, cl *server.Client) (any, error) {
 		return fetch(cl)
 	})
@@ -721,17 +722,12 @@ func (c *Coordinator) gatherRows(fetch func(cl *server.Client) ([]server.Row, er
 	}
 	mergeStart := time.Now()
 	defer c.stats.mergeNs.ObserveSince(mergeStart)
-	shape, err := shapeFromRows(vals[0].([]server.Row))
-	if err != nil {
-		return nil, err
+	slabs := make([]*server.Slab, len(vals))
+	for i, v := range vals {
+		slabs[i] = v.(*server.Slab)
+		c.stats.ingressCells.Add(int64(slabs[i].Size()))
 	}
-	tbl := newMergeTable(shape, c.op)
-	for _, v := range vals {
-		if err := tbl.combineRows(v.([]server.Row), c.op); err != nil {
-			return nil, err
-		}
-	}
-	return tbl, nil
+	return mergeSlabs(slabs, c.op)
 }
 
 // resolveDims validates a dimension list against the schema and returns
@@ -764,18 +760,18 @@ func (c *Coordinator) GroupBy(dims ...string) (server.Result, error) {
 	if _, err := c.resolveDims(dims); err != nil {
 		return nil, err
 	}
-	return c.gatherRows(func(cl *server.Client) ([]server.Row, error) {
-		return cl.GroupBy(dims...)
+	return c.gatherSlabs(func(cl *server.Client) (*server.Slab, error) {
+		return cl.GroupBySlab(dims...)
 	})
 }
 
 // Query scatter-gathers a parcube query-language statement. Statement
 // semantics (group-by, slicing, range filters) are coordinate predicates,
-// so every shard evaluates the same statement over its disjoint facts and
-// the partial tables combine cell-exactly.
+// so every shard evaluates the same statement over its disjoint facts,
+// answers the slab its block reaches, and the slabs combine cell-exactly.
 func (c *Coordinator) Query(stmt string) (server.Result, error) {
-	return c.gatherRows(func(cl *server.Client) ([]server.Row, error) {
-		return cl.Query(stmt)
+	return c.gatherSlabs(func(cl *server.Client) (*server.Slab, error) {
+		return cl.QuerySlab(stmt)
 	})
 }
 

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"parcube"
-	"parcube/internal/agg"
 	"parcube/internal/nd"
 	"parcube/internal/obs"
 	"parcube/internal/recovery"
@@ -62,14 +61,13 @@ func (o DurableOptions) withDefaults() DurableOptions {
 // persists them: apply-then-log, so a delta the cube rejects (schema
 // mismatch, out-of-block coordinates, parcube.ErrOverlappingDelta) is
 // never written to the WAL and replay of a logged record can never
-// fail. The cube is guarded by an RWMutex and every query materializes
-// its result into an owned copy before the lock is released — the
-// server serializes rows after the backend call returns, and sharing
-// the cube's live arrays with a concurrent delta would race.
+// fail. The cube is guarded by an RWMutex and every query copies its
+// slab out before the lock is released — the server serializes it after
+// the backend call returns, and sharing the cube's live arrays with a
+// concurrent delta would race.
 type durableBackend struct {
 	schema *parcube.Schema
 	op     parcube.Aggregator
-	aop    agg.Op
 	block  nd.Block
 
 	mu   sync.RWMutex
@@ -365,44 +363,47 @@ func (b *durableBackend) Total() (float64, error) {
 	return b.cube.Total(), nil
 }
 
-// copyTable materializes a query result into an owned dense table while
-// the read lock is still held, so the server can stream it after the
-// lock is gone without racing concurrent deltas.
-func copyTable(tbl *parcube.Table, op agg.Op) server.Result {
-	out := newMergeTable(tbl.Shape(), op)
-	shape := out.shape
-	coords := make([]int, len(shape))
-	for i := range out.data {
-		out.data[i] = tbl.At(coords...)
-		for axis := len(coords) - 1; axis >= 0; axis-- {
-			coords[axis]++
-			if coords[axis] < shape[axis] {
-				break
-			}
-			coords[axis] = 0
-		}
-	}
-	return out
-}
-
-func (b *durableBackend) GroupBy(dims ...string) (server.Result, error) {
+// GroupBySlab implements server.SlabBackend: only the slab is copied
+// out under the read lock, so the server streams it after the lock is
+// gone without racing concurrent deltas.
+func (b *durableBackend) GroupBySlab(lo, hi []int, dims ...string) (*server.Slab, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	tbl, err := b.cube.GroupBy(dims...)
 	if err != nil {
 		return nil, err
 	}
-	return copyTable(tbl, b.aop), nil
+	return server.TableSlab(tbl, lo, hi)
 }
 
-func (b *durableBackend) Query(stmt string) (server.Result, error) {
+// QuerySlab implements server.SlabBackend like GroupBySlab.
+func (b *durableBackend) QuerySlab(lo, hi []int, stmt string) (*server.Slab, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	tbl, err := b.cube.Query(stmt)
 	if err != nil {
 		return nil, err
 	}
-	return copyTable(tbl, b.aop), nil
+	return server.TableSlab(tbl, lo, hi)
+}
+
+// GroupBy answers the whole table (a node's TOP and VALUE) as the slab
+// of the whole schema.
+func (b *durableBackend) GroupBy(dims ...string) (server.Result, error) {
+	sl, err := b.GroupBySlab(make([]int, b.schema.Dims()), b.schema.Sizes(), dims...)
+	if err != nil {
+		return nil, err
+	}
+	return sl, nil
+}
+
+// Query answers a whole query table as the slab of the whole schema.
+func (b *durableBackend) Query(stmt string) (server.Result, error) {
+	sl, err := b.QuerySlab(make([]int, b.schema.Dims()), b.schema.Sizes(), stmt)
+	if err != nil {
+		return nil, err
+	}
+	return sl, nil
 }
 
 // StartDurableNode starts (or restarts) shard node id backed by a data
@@ -445,10 +446,6 @@ func StartDurableNode(plan *Plan, id int, ds *parcube.Dataset, addr string, dopt
 		op = dopts.Op
 	}
 
-	aop, err := agg.Parse(op.String())
-	if err != nil {
-		return nil, fmt.Errorf("shard: node %d: %w", id, err)
-	}
 	var schema *parcube.Schema
 	if cube != nil {
 		schema = cube.Schema()
@@ -458,7 +455,6 @@ func StartDurableNode(plan *Plan, id int, ds *parcube.Dataset, addr string, dopt
 	backend := &durableBackend{
 		schema: schema,
 		op:     op,
-		aop:    aop,
 		block:  block,
 		cube:   cube,
 	}
@@ -527,6 +523,8 @@ func StartDurableNode(plan *Plan, id int, ds *parcube.Dataset, addr string, dopt
 		Op:    backend.op.String(),
 		Block: block.String(),
 		Epoch: plan.Epoch,
+		Lo:    block.Lo,
+		Hi:    block.Hi,
 	})
 	bound, err := n.srv.Listen(addr)
 	if err != nil {

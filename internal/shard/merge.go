@@ -2,122 +2,80 @@ package shard
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
-	"parcube"
 	"parcube/internal/agg"
 	"parcube/internal/server"
 )
 
-// mergeTable is the coordinator's combined group-by: a dense row-major
-// table accumulating every shard's partial aggregates. It satisfies
-// server.Result, so the coordinator's server streams it exactly like a
-// local cube's table.
-type mergeTable struct {
-	shape []int
-	data  []float64
-}
-
-// newMergeTable allocates a table of the given shape filled with the
-// operator's identity, so the first combined shard lands on neutral cells.
-func newMergeTable(shape []int, op agg.Op) *mergeTable {
+// mergeSlabs combines the blocks' slabs of one answer into the whole
+// table, itself a slab covering every cell, so the coordinator's server
+// streams it like any other result. The table starts at the operator's
+// identity; a slab that overlaps no earlier one (its block keeps every
+// partitioned dimension the answer keeps) is copied in run by run, and
+// one that does (a partitioned dimension was aggregated away) folds in
+// with the operator, in block order, so the answer stays cell-exact.
+func mergeSlabs(slabs []*server.Slab, op agg.Op) (*server.Slab, error) {
+	shape := slabs[0].TableShape
 	size := 1
-	for _, s := range shape {
-		size *= s
+	for _, e := range shape {
+		size *= e
 	}
-	t := &mergeTable{shape: append([]int(nil), shape...), data: make([]float64, size)}
-	op.Fill(t.data)
-	return t
-}
-
-// offsetOf converts row coordinates to the row-major offset.
-func (t *mergeTable) offsetOf(coords []int) (int, error) {
-	if len(coords) != len(t.shape) {
-		return 0, fmt.Errorf("shard: %d coordinates for %d dimensions", len(coords), len(t.shape))
-	}
-	off := 0
-	for i, c := range coords {
-		if c < 0 || c >= t.shape[i] {
-			return 0, fmt.Errorf("shard: coordinate %d out of range [0,%d)", c, t.shape[i])
+	out := &server.Slab{TableShape: shape, Lo: make([]int, len(shape)), Hi: shape, Data: make([]float64, size)}
+	op.Fill(out.Data)
+	for i, s := range slabs {
+		if !slices.Equal(s.TableShape, shape) {
+			return nil, fmt.Errorf("shard: shards answered tables of shapes %v and %v", shape, s.TableShape)
 		}
-		off = off*t.shape[i] + c
-	}
-	return off, nil
-}
-
-// combineRows folds one shard's rows into the table with the operator.
-func (t *mergeTable) combineRows(rows []server.Row, op agg.Op) error {
-	if len(rows) != len(t.data) {
-		return fmt.Errorf("shard: shard returned %d cells, expected %d", len(rows), len(t.data))
-	}
-	for _, r := range rows {
-		off, err := t.offsetOf(r.Coords)
-		if err != nil {
-			return err
+		if len(s.Data) == 0 {
+			continue
 		}
-		t.data[off] = op.Combine(t.data[off], r.Value)
-	}
-	return nil
-}
-
-// Shape returns the table's extents.
-func (t *mergeTable) Shape() []int { return append([]int(nil), t.shape...) }
-
-// Size returns the number of cells.
-func (t *mergeTable) Size() int { return len(t.data) }
-
-// At returns the cell at integer coordinates; like the library's dense
-// tables it panics on bad coordinates (the server recovers lookups).
-func (t *mergeTable) At(coords ...int) float64 {
-	off, err := t.offsetOf(coords)
-	if err != nil {
-		panic(err.Error())
-	}
-	return t.data[off]
-}
-
-// Top returns the k largest cells, ties broken by ascending coordinates —
-// the same contract as parcube.Table.Top, so sharded TOP answers match a
-// single-node cube row for row.
-func (t *mergeTable) Top(k int) []parcube.CellValue {
-	out := make([]parcube.CellValue, 0, len(t.data))
-	coords := make([]int, len(t.shape))
-	for off := range t.data {
-		out = append(out, parcube.CellValue{
-			Coords: append([]int(nil), coords...),
-			Value:  t.data[off],
-		})
-		for i := len(coords) - 1; i >= 0; i-- {
-			coords[i]++
-			if coords[i] < t.shape[i] {
-				break
+		overlaps := false
+		for _, p := range slabs[:i] {
+			overlaps = overlaps || slabsOverlap(p, s)
+		}
+		// Walk the slab's runs along the last axis; outer holds the run's
+		// coordinates on every other axis.
+		rank := len(shape)
+		run := 1
+		if rank > 0 {
+			run = s.Hi[rank-1] - s.Lo[rank-1]
+		}
+		outer := slices.Clone(s.Lo)
+		for src := 0; src < len(s.Data); src += run {
+			dst := 0
+			for a, c := range outer {
+				dst = dst*shape[a] + c
 			}
-			coords[i] = 0
+			if overlaps {
+				for j, v := range s.Data[src : src+run] {
+					out.Data[dst+j] = op.Combine(out.Data[dst+j], v)
+				}
+			} else {
+				copy(out.Data[dst:dst+run], s.Data[src:src+run])
+			}
+			for a := rank - 2; a >= 0; a-- {
+				outer[a]++
+				if outer[a] < s.Hi[a] {
+					break
+				}
+				outer[a] = s.Lo[a]
+			}
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Value > out[j].Value })
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
+	return out, nil
 }
 
-// shapeFromRows infers the table shape from one shard's full row-major
-// enumeration: the last row holds the maximal coordinates. A single row
-// with no coordinates is the 0-D grand total.
-func shapeFromRows(rows []server.Row) ([]int, error) {
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("shard: shard returned no cells")
+// slabsOverlap reports whether two nonempty slabs of one table share a
+// cell.
+func slabsOverlap(a, b *server.Slab) bool {
+	if len(a.Data) == 0 || len(b.Data) == 0 {
+		return false
 	}
-	last := rows[len(rows)-1].Coords
-	shape := make([]int, len(last))
-	size := 1
-	for i, c := range last {
-		shape[i] = c + 1
-		size *= shape[i]
+	for i := range a.Lo {
+		if a.Hi[i] <= b.Lo[i] || b.Hi[i] <= a.Lo[i] {
+			return false
+		}
 	}
-	if size != len(rows) {
-		return nil, fmt.Errorf("shard: shard returned %d cells for inferred shape %v", len(rows), shape)
-	}
-	return shape, nil
+	return true
 }

@@ -34,9 +34,11 @@ type Node struct {
 
 // StartNode carves node id's block out of the dataset, builds its
 // sub-cube, and serves it on addr (use "127.0.0.1:0" for an ephemeral
-// port). The sub-cube keeps the full schema at global coordinates, so its
-// group-by tables align cell-for-cell with every other shard's and with
-// the unsharded cube.
+// port). The sub-cube keeps the full schema at global coordinates, but a
+// group-by reads only the block's slab of it: the cells the block's facts
+// can reach, at result coordinates. Every other cell is the operator's
+// identity, so the coordinator merges slabs instead of whole tables
+// (Lemma 1).
 func StartNode(plan *Plan, id int, ds *parcube.Dataset, addr string, opts ...parcube.BuildOption) (*Node, error) {
 	block, err := plan.BlockOfNode(id)
 	if err != nil {
@@ -60,6 +62,8 @@ func ServeNode(cube *parcube.Cube, id int, block nd.Block, addr string) (*Node, 
 		ID:    id,
 		Op:    cube.Aggregator().String(),
 		Block: block.String(),
+		Lo:    block.Lo,
+		Hi:    block.Hi,
 	})
 	bound, err := n.srv.Listen(addr)
 	if err != nil {

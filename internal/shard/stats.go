@@ -22,9 +22,13 @@ type Stats struct {
 	// took end to end, including every retry, backoff, and failover
 	// attempt — the tail here is what a slow or flapping replica costs.
 	AskLatency obs.HistogramSnapshot
-	// MergeLatency summarizes the nanoseconds spent element-wise merging
-	// the gathered per-shard tables after the scatter completes.
+	// MergeLatency summarizes the nanoseconds spent merging the gathered
+	// per-shard slabs after the scatter completes.
 	MergeLatency obs.HistogramSnapshot
+	// IngressCells counts the slab cells shards sent for GROUPBY and QUERY
+	// answers: |G| times the parts of every partitioned dimension an
+	// answer G drops, by the paper's Lemma 1.
+	IngressCells int64
 	// Deltas counts acknowledged ingest requests; DeltaCells the cells
 	// they carried across all blocks.
 	Deltas     int64
@@ -60,6 +64,7 @@ type counters struct {
 	errors         *obs.Counter
 	askNs          *obs.Histogram
 	mergeNs        *obs.Histogram
+	ingressCells   *obs.Counter
 	deltas         *obs.Counter
 	deltaCells     *obs.Counter
 	replicaDowns   *obs.Counter
@@ -83,6 +88,7 @@ func newCounters() *counters {
 		errors:         reg.Counter("shard_errors"),
 		askNs:          reg.Histogram("ask_ns"),
 		mergeNs:        reg.Histogram("merge_ns"),
+		ingressCells:   reg.Counter("ingress_cells"),
 		deltas:         reg.Counter("deltas"),
 		deltaCells:     reg.Counter("delta_cells"),
 		replicaDowns:   reg.Counter("replica_downs"),
@@ -105,6 +111,7 @@ func (c *counters) snapshot() Stats {
 		Errors:         c.errors.Value(),
 		AskLatency:     c.askNs.Snapshot(),
 		MergeLatency:   c.mergeNs.Snapshot(),
+		IngressCells:   c.ingressCells.Value(),
 		Deltas:         c.deltas.Value(),
 		DeltaCells:     c.deltaCells.Value(),
 		ReplicaDowns:   c.replicaDowns.Value(),

@@ -26,6 +26,8 @@ func (t *Table) Dice(ranges map[string]Range) (*Table, error) {
 	hi := make([]int, rank)
 	shape := t.data.Shape()
 	copy(hi, shape)
+	dims := t.mask.Dims()
+	blo, bhi := t.bounds()
 	for name, r := range ranges {
 		axis, err := t.axisOf(name)
 		if err != nil {
@@ -35,6 +37,8 @@ func (t *Table) Dice(ranges map[string]Range) (*Table, error) {
 			return nil, fmt.Errorf("parcube: range [%d,%d) invalid for %q (extent %d)", r.Lo, r.Hi, name, shape[axis])
 		}
 		lo[axis], hi[axis] = r.Lo, r.Hi
+		s := dims[axis]
+		blo[s], bhi[s] = blo[s]+r.Lo, blo[s]+r.Hi
 	}
 	return &Table{
 		names:       append([]string(nil), t.names...),
@@ -42,6 +46,9 @@ func (t *Table) Dice(ranges map[string]Range) (*Table, error) {
 		mask:        t.mask,
 		data:        t.data.Crop(lo, hi),
 		op:          t.op,
+		lo:          blo,
+		hi:          bhi,
+		rebinned:    t.rebinned,
 	}, nil
 }
 

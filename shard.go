@@ -64,3 +64,44 @@ func (d *Dataset) Shard(lo, hi []int) (*Dataset, error) {
 	}
 	return sub, nil
 }
+
+// Slab cuts out the part of the table that a block sub-cube contributes
+// to a merged answer (the paper's Lemma 1). The block is the schema box
+// [lo, hi): one bound per schema dimension, at global coordinates. Slab
+// returns the box [slo, shi) of table coordinates whose cells can
+// aggregate facts inside the block, and those cells densely in row-major
+// order; no other cell of a cube built from the block's facts alone
+// aggregates any of them. The box follows the table's own
+// re-basing (Dice ranges, Slice positions), so it fits Query results
+// too. When the block misses a range the table was sliced or diced to,
+// the slab is empty: data is nil and slo == shi. A table re-binned by a
+// hierarchy roll-up answers its whole extent.
+func (t *Table) Slab(lo, hi []int) (slo, shi []int, data []float64, err error) {
+	n := len(t.schemaNames)
+	if len(lo) != n || len(hi) != n {
+		return nil, nil, nil, fmt.Errorf("parcube: slab bounds rank %d/%d for %d dimensions", len(lo), len(hi), n)
+	}
+	shape := t.data.Shape()
+	rank := shape.Rank()
+	slo, shi = make([]int, rank), make([]int, rank)
+	copy(shi, shape)
+	if !t.rebinned {
+		tlo, thi := t.bounds()
+		dims := t.mask.Dims()
+		axis := 0
+		for s := range tlo {
+			l, h := max(tlo[s], lo[s]), min(thi[s], hi[s])
+			if axis < rank && dims[axis] == s {
+				h = min(h, tlo[s]+shape[axis])
+				slo[axis], shi[axis] = l-tlo[s], h-tlo[s]
+				axis++
+			}
+			if l >= h {
+				clear(slo)
+				clear(shi)
+				return slo, shi, nil, nil
+			}
+		}
+	}
+	return slo, shi, t.data.Crop(slo, shi).Data(), nil
+}

@@ -1,6 +1,7 @@
 package parcube
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -143,5 +144,100 @@ func TestBuildEmptyShard(t *testing.T) {
 	}
 	if tbl.At(0) != 0 || tbl.At(3) != 0 {
 		t.Fatalf("empty shard group-by = %v %v", tbl.At(0), tbl.At(3))
+	}
+}
+
+// TestTableSlab checks the slab contract against a block sub-cube: every
+// cell outside the slab aggregates no fact (0 under Sum), the slab's cells are
+// the table's, and the box follows Query's re-basing — BETWEEN ranges
+// clip and shift it, equality filters outside the block empty it.
+func TestTableSlab(t *testing.T) {
+	schema, err := NewSchema(Dim{Name: "a", Size: 8}, Dim{Name: "b", Size: 6}, Dim{Name: "c", Size: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := NewDataset(schema)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 150; i++ {
+		if err := ds.Add(float64(rng.Intn(9)+1), rng.Intn(8), rng.Intn(6), rng.Intn(4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lo, hi := []int{4, 0, 2}, []int{8, 6, 4}
+	sub, err := ds.Shard(lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cube, _, err := Build(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		stmt           string
+		wantLo, wantHi []int
+	}{
+		{"GROUP BY a, c", []int{4, 2}, []int{8, 4}},
+		{"GROUP BY b", []int{0}, []int{6}},
+		{"GROUP BY a WHERE a BETWEEN 2 AND 5", []int{2}, []int{4}},
+		{"GROUP BY a, b WHERE b BETWEEN 1 AND 3 AND c = 3", []int{4, 0}, []int{8, 3}},
+		{"GROUP BY b WHERE c = 1", []int{0}, []int{0}},
+		{"GROUP BY a WHERE c BETWEEN 0 AND 1", []int{0}, []int{0}},
+		{"WHERE a = 6", nil, nil},
+		{"WHERE a = 1", nil, nil},
+	}
+	for _, tc := range cases {
+		tbl, err := cube.Query(tc.stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slo, shi, data, err := tbl.Slab(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.wantLo != nil && (fmt.Sprint(slo) != fmt.Sprint(tc.wantLo) || fmt.Sprint(shi) != fmt.Sprint(tc.wantHi)) {
+			t.Fatalf("%q: slab [%v, %v), want [%v, %v)", tc.stmt, slo, shi, tc.wantLo, tc.wantHi)
+		}
+		shape := tbl.Shape()
+		coords := make([]int, len(shape))
+		next := 0
+		for n := 0; n < tbl.Size(); n++ {
+			inside := len(data) > 0
+			for i, c := range coords {
+				inside = inside && c >= slo[i] && c < shi[i]
+			}
+			switch v := tbl.At(coords...); {
+			case inside && v != data[next]:
+				t.Fatalf("%q: slab cell %v = %v, table %v", tc.stmt, coords, data[next], v)
+			case !inside && v != 0:
+				t.Fatalf("%q: cell %v = %v outside the slab [%v, %v)", tc.stmt, coords, v, slo, shi)
+			}
+			if inside {
+				next++
+			}
+			for i := len(coords) - 1; i >= 0; i-- {
+				if coords[i]++; coords[i] < shape[i] {
+					break
+				}
+				coords[i] = 0
+			}
+		}
+		if next != len(data) {
+			t.Fatalf("%q: slab holds %d cells, %d inside its box", tc.stmt, len(data), next)
+		}
+	}
+	tbl, err := cube.GroupBy("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := tbl.Slab(lo[:2], hi); err == nil {
+		t.Fatal("slab bounds of the wrong rank accepted")
+	}
+	// A hierarchy roll-up re-bins the axis: the slab is the whole table.
+	coarse, err := tbl.RollupWith("a", Hierarchy{Name: "half", Size: 2, Mapping: []int{0, 0, 0, 0, 1, 1, 1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slo, shi, data, _ := coarse.Slab(lo, hi); fmt.Sprint(slo, shi) != "[0] [2]" || len(data) != 2 {
+		t.Fatalf("re-binned slab [%v, %v) with %d cells", slo, shi, len(data))
 	}
 }
